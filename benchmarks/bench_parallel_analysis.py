@@ -5,7 +5,8 @@ Times the full replay analysis of the scaled Experiment 1 workload
 results to ``BENCH_parallel.json``, extending the perf trajectory of
 ``BENCH_pipeline.json``:
 
-* **jobs=1** — the serial :class:`~repro.analysis.replay.ReplayAnalyzer`;
+* **jobs=1** — the default serial path: the sharded kernel as one
+  in-process shard;
 * **jobs=N** — :class:`~repro.analysis.parallel.ParallelReplayAnalyzer`
   sharding the same archive across N worker processes.
 

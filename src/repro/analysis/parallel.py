@@ -22,8 +22,12 @@ execution model with ``multiprocessing`` workers:
   bit-for-bit identical to :class:`~repro.analysis.replay.ReplayAnalyzer`'s
   — including float summation order inside the severity cube.
 
-``jobs=1`` callers never reach this module; ``analyze_run(..., jobs=N)``
-dispatches here for ``N != 1``.
+Serial analysis is the same kernel run as **one in-process shard**:
+``analyze_run`` dispatches every request here except ``bounded=True``
+(the time-ordered :mod:`~repro.analysis.streaming` engine, whose
+O(window) memory contract needs a global event pump).  The one shard
+polls an optional :class:`~repro.resilience.deadline.Deadline` itself;
+worker processes never see one.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 from repro.analysis.callpath import ROOT_PATH, CallPathRegistry
 from repro.analysis.instances import (
     ProcessTimeline,
-    build_timeline,
+    TimelineBuilder,
     remap_timeline,
     total_time_of,
 )
@@ -82,7 +86,7 @@ from repro.trace.archive import (
     salvage_checked,
     trace_filename,
 )
-from repro.trace.encoding import iter_events
+from repro.trace.encoding import iter_events, salvage_events
 
 #: A point-to-point channel: (sender rank, receiver rank, tag, communicator).
 ChannelKey = Tuple[int, int, int, int]
@@ -92,6 +96,12 @@ RecordRef = Tuple[int, int]
 #: (receiver rank, recv op index, recv index, sender rank, send op index,
 #: send index).  The first three fields are the serial yield-order key.
 PairRef = Tuple[int, int, int, int, int, int]
+
+#: Events replayed between deadline polls.  One ``time.monotonic`` call per
+#: this many events keeps the cooperative check under ~1% of replay cost
+#: while still bounding the reaction latency to a few dozen microseconds
+#: of work on toy traces.
+DEADLINE_POLL_EVENTS = 64
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -173,8 +183,11 @@ class PartialAnalysis:
     timelines: Dict[int, ProcessTimeline] = field(default_factory=dict)
     trace_bytes: Dict[int, int] = field(default_factory=dict)
     completeness: Dict[int, RankCompleteness] = field(default_factory=dict)
-    #: Warnings raised in the worker, re-emitted by the parent in order.
+    #: Warnings collected by the kernel, re-emitted by the merge in order.
     warnings: List[Tuple[Type[Warning], str]] = field(default_factory=list)
+    #: Why an in-process shard stopped early (deadline expiry or
+    #: cancellation), or None for a shard that replayed every rank.
+    interrupted: Optional[str] = None
     #: Pairs whose endpoints both live in this shard.
     local_pairs: List[PairRef] = field(default_factory=list)
     #: Cross-shard SEND metadata, per channel, in sender trace order.
@@ -185,6 +198,10 @@ class PartialAnalysis:
     unmatched_recvs: int = 0
     #: Sends left in shard-local channels after matching.
     unmatched_sends: int = 0
+
+    def warn(self, message: str) -> None:
+        """Collect one :class:`PartialTraceWarning` for the merge to re-emit."""
+        self.warnings.append((PartialTraceWarning, message))
 
 
 def _load_rank_degraded(
@@ -201,10 +218,7 @@ def _load_rank_degraded(
             analyzed=False,
             error=reason,
         )
-        warnings.warn(
-            f"rank {rank} excluded from replay: {reason}", PartialTraceWarning,
-            stacklevel=3,
-        )
+        partial.warn(f"rank {rank} excluded from replay: {reason}")
 
     reason = task.traces.missing.get(rank)
     if reason is not None:
@@ -240,73 +254,120 @@ def _load_rank_degraded(
     return len(blob), salvaged.events
 
 
-def analyze_shard(task: ShardTask) -> PartialAnalysis:
-    """The worker: local decode, timelines, and shard-local matching.
+def analyze_shard(
+    task: ShardTask, deadline: Optional[Deadline] = None
+) -> PartialAnalysis:
+    """The kernel: local decode, timelines, and shard-local matching.
 
-    Runs in a subprocess; every warning is captured and carried back in the
-    :class:`PartialAnalysis` so the parent can re-emit it (subprocess
-    warnings are invisible to the caller's ``warnings`` machinery).
+    Runs in a worker process for ``jobs >= 2`` and in-process for serial
+    analysis.  Warnings are collected into ``partial.warnings`` — never
+    raised here, and without touching the process-global warning filters
+    (the in-process kernel runs on service executor threads) — and
+    :func:`merge_partials` re-emits them in order.
+
+    *deadline* (in-process only) is polled every
+    :data:`DEADLINE_POLL_EVENTS` replayed events.  On expiry the rank
+    being replayed is force-finished and reports the fraction of its
+    events consumed, every rank not yet started reports 0.0 with a
+    ``TimeBudgetExceeded`` error, and ``partial.interrupted`` names the
+    reason.  Matching then settles degraded-style.
     """
     partial = PartialAnalysis(index=task.index, ranks=task.ranks)
     definitions = task.definitions
     degraded = task.degraded
     callpaths = partial.callpaths
     timelines = partial.timelines
+    countdown = DEADLINE_POLL_EVENTS
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for rank in task.ranks:
-            location = definitions.locations[rank]
-            if degraded:
-                loaded = _load_rank_degraded(task, rank, partial)
-                if loaded is None:
-                    continue
-                partial.trace_bytes[rank], events = loaded
+    for rank in task.ranks:
+        if partial.interrupted is not None:
+            partial.completeness[rank] = RankCompleteness(
+                rank=rank,
+                complete=False,
+                completeness=0.0,
+                events=0,
+                analyzed=False,
+                error=(
+                    f"TimeBudgetExceeded: {partial.interrupted} before its "
+                    "trace was replayed"
+                ),
+            )
+            continue
+        location = definitions.locations[rank]
+        if degraded:
+            loaded = _load_rank_degraded(task, rank, partial)
+            if loaded is None:
+                continue
+            partial.trace_bytes[rank], events = loaded
+        else:
+            blob = task.traces.blobs[rank]
+            file_rank, events = iter_events(blob)
+            if file_rank != rank:
+                raise ArchiveError(
+                    f"trace file {trace_filename(rank)} claims rank {file_rank}"
+                )
+            partial.trace_bytes[rank] = len(blob)
+        converter = task.converters.get(node_of(location))
+        if converter is None:
+            if not degraded:
+                raise AnalysisError(
+                    f"no clock converter for node {node_of(location)}"
+                )
+            partial.warn(
+                f"rank {rank}: no clock converter for {node_of(location)}, "
+                "using local time unconverted"
+            )
+            converter = LinearConverter.identity()
+        builder = TimelineBuilder(
+            rank, location, converter, callpaths, definitions.regions
+        )
+        feed = builder.feed
+        try:
+            if deadline is None:
+                for event in events:
+                    feed(event)
             else:
-                blob = task.traces.blobs[rank]
-                file_rank, events = iter_events(blob)
-                if file_rank != rank:
-                    raise ArchiveError(
-                        f"trace file {trace_filename(rank)} claims rank {file_rank}"
-                    )
-                partial.trace_bytes[rank] = len(blob)
-            converter = task.converters.get(node_of(location))
-            if converter is None:
-                if not degraded:
-                    raise AnalysisError(
-                        f"no clock converter for node {node_of(location)}"
-                    )
-                warnings.warn(
-                    f"rank {rank}: no clock converter for {node_of(location)}, "
-                    "using local time unconverted",
-                    PartialTraceWarning,
-                    stacklevel=1,
-                )
-                converter = LinearConverter.identity()
-            try:
-                timelines[rank] = build_timeline(
-                    rank, location, events, converter, callpaths, definitions.regions
-                )
-            except AnalysisError as exc:
-                if not degraded:
-                    raise
-                partial.trace_bytes.pop(rank, None)
-                prior = partial.completeness.get(rank)
-                partial.completeness[rank] = RankCompleteness(
-                    rank=rank,
-                    complete=False,
-                    completeness=prior.completeness if prior else 0.0,
-                    events=prior.events if prior else 0,
-                    analyzed=False,
-                    error=str(exc),
-                )
-                warnings.warn(
-                    f"rank {rank} excluded from replay: {exc}",
-                    PartialTraceWarning,
-                    stacklevel=1,
-                )
-        _match_local(task, partial)
-    partial.warnings = [(w.category, str(w.message)) for w in caught]
+                consumed = 0
+                for event in events:
+                    feed(event)
+                    consumed += 1
+                    countdown -= 1
+                    if countdown <= 0:
+                        countdown = DEADLINE_POLL_EVENTS
+                        partial.interrupted = deadline.reason()
+                        if partial.interrupted is not None:
+                            break
+            timelines[rank] = builder.finish(force=partial.interrupted is not None)
+        except AnalysisError as exc:
+            if not degraded:
+                raise
+            partial.trace_bytes.pop(rank, None)
+            prior = partial.completeness.get(rank)
+            partial.completeness[rank] = RankCompleteness(
+                rank=rank,
+                complete=False,
+                completeness=prior.completeness if prior else 0.0,
+                events=prior.events if prior else 0,
+                analyzed=False,
+                error=str(exc),
+            )
+            partial.warn(f"rank {rank} excluded from replay: {exc}")
+            continue
+        if partial.interrupted is not None:
+            blob = task.traces.blobs[rank]
+            total = salvage_events(blob, count_only=True).event_count
+            partial.completeness[rank] = RankCompleteness(
+                rank=rank,
+                complete=False,
+                completeness=min(consumed / total, 1.0) if total else 0.0,
+                events=consumed,
+                analyzed=True,
+                error=(
+                    f"TimeBudgetExceeded: {partial.interrupted} after "
+                    f"{consumed} of {total} event(s)"
+                ),
+            )
+    _match_local(task, partial)
     return partial
 
 
@@ -314,7 +375,9 @@ def _match_local(task: ShardTask, partial: PartialAnalysis) -> None:
     """Shard-local FIFO matching; cross-shard records become boundary streams."""
     in_shard = set(task.ranks)
     timelines = partial.timelines
-    degraded = task.degraded
+    # A deadline-cut shard settles degraded-style: a receive whose sender
+    # was cut or never started is expected to starve.
+    degraded = task.degraded or partial.interrupted is not None
     queues: Dict[ChannelKey, List[RecordRef]] = {}
     heads: Dict[ChannelKey, int] = {}
     boundary_sends = partial.boundary_sends
@@ -681,13 +744,13 @@ class ParallelReplayAnalyzer:
         interrupted: Optional[str] = None
         execution = None
         if len(tasks) <= 1:
-            partials = []
-            for task in tasks:
-                if self.deadline is not None:
-                    interrupted = self.deadline.reason()
-                    if interrupted is not None:
-                        break
-                partials.append(analyze_shard(task))
+            # Serial analysis: the one shard runs in-process and polls the
+            # deadline itself, so it always settles into a partial result.
+            partials = [analyze_shard(task, self.deadline) for task in tasks]
+            interrupted = next(
+                (p.interrupted for p in partials if p.interrupted is not None),
+                None,
+            )
         elif self.pool is not None:
             # A shared (warm, externally owned) pool: the owner controls
             # worker count and lifetime; this run only overrides budgets.

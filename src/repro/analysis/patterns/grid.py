@@ -75,7 +75,7 @@ class GridPairBreakdown:
         return dict(self.data.get(metric, {}))
 
     def total(self, metric: str) -> float:
-        return sum(self.data.get(metric, {}).values())
+        return fsum(self.data.get(metric, {}).values())
 
     def named(self, metric: str, machine_names: List[str]) -> Dict[Tuple[str, str], float]:
         """Pairs rendered with metahost names."""

@@ -588,12 +588,15 @@ def analyze_run(
     """Analyze a :class:`~repro.sim.runtime.RunResult` end to end.
 
     *request* (an :class:`~repro.analysis.request.AnalysisRequest`) selects
-    everything about the analysis: ``jobs`` picks the execution model
-    (``None``/``1`` the serial single-pass streaming replay, ``N >= 2``
-    sharded across *N* workers, ``0`` one per core), ``degraded`` survives
-    damaged traces, ``timeline`` adds time-resolved severity series,
-    ``bounded`` caps serial memory at the matching window.  Every execution
-    model produces a bit-identical severity cube.
+    everything about the analysis: ``jobs`` picks the number of shards of
+    the sharded kernel (:mod:`repro.analysis.parallel`; ``None``/``1`` one
+    in-process shard, ``N >= 2`` *N* worker processes, ``0`` one per
+    core), ``degraded`` survives damaged traces, ``timeline`` adds
+    time-resolved severity series.  ``bounded`` instead runs the serial,
+    time-ordered :class:`~repro.analysis.streaming.StreamingReplayAnalyzer`,
+    whose memory is capped at the matching window (serial only: sharded
+    runs ignore it).  Every execution model produces a bit-identical
+    severity cube.
 
     ``pool`` lends the analysis an externally owned
     :class:`~repro.resilience.pool.SupervisedPool` (task function
@@ -637,12 +640,11 @@ def analyze_run(
         else None
     )
     effective = resolve_jobs(request.jobs)
-    if effective <= 1:
+    if request.bounded and effective <= 1:
         return StreamingReplayAnalyzer(
             readers,
             scheme=scheme,
             degraded=request.degraded,
-            retain=not request.bounded,
             timeline=timeline,
             deadline=deadline,
         ).analyze()

@@ -45,12 +45,17 @@ class AnalysisRequest:
     window_s / stride_s:
         Rolling-window width and bin stride of the timeline, in seconds.
     bounded:
-        Bounded-memory streaming: drop per-op retention so memory stays
-        O(open window) instead of O(trace).  The severity cube and every
-        aggregate are bit-identical either way; only
+        Bounded-memory streaming: run the serial, time-ordered
+        :class:`~repro.analysis.streaming.StreamingReplayAnalyzer` with
+        per-op retention dropped, so memory stays O(open window) instead
+        of O(trace).  The severity cube and every aggregate are
+        bit-identical either way; only
         ``result.timelines[r].mpi_ops``/``omp_regions`` come back empty
-        (so the per-rank Gantt rendering needs ``bounded=False``).
-        Serial path only; sharded workers always retain.
+        (so the per-rank Gantt rendering needs ``bounded=False``), and
+        the grid metahost pairs may be listed in another order.
+        Serial only: with ``jobs >= 2`` the sharded kernel runs and
+        retains.  The default serial path is the sharded kernel as one
+        in-process shard, which decodes each rank once and is faster.
     deadline_s:
         End-to-end wall-clock budget for the whole analysis.  Unlike
         ``timeout`` (which bounds one shard attempt), the deadline bounds

@@ -18,6 +18,7 @@ three different orders and still agree bit for bit.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import fsum
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -60,6 +61,8 @@ class SeverityCube:
     ) -> None:
         self._partials: Dict[str, Dict[int, Dict[int, Partials]]] = {}
         self._snapshot: Optional[Dict[str, Dict[int, Dict[int, float]]]] = None
+        #: metric → total, valid for the current snapshot.
+        self._totals: Dict[str, float] = {}
         if data:
             for metric, by_cp in data.items():
                 for cpid, by_rank in by_cp.items():
@@ -140,6 +143,7 @@ class SeverityCube:
     def data(self) -> Dict[str, Dict[int, Dict[int, float]]]:
         """Collapsed view: ``metric → cpid → rank → exact rounded seconds``."""
         if self._snapshot is None:
+            self._totals = {}
             self._snapshot = {
                 metric: {
                     cpid: {rank: fsum(p) for rank, p in by_rank.items()}
@@ -162,26 +166,35 @@ class SeverityCube:
     def metrics(self) -> List[str]:
         return sorted(self._partials)
 
+    # The marginals below sum the collapsed cells with fsum (correctly
+    # rounded, hence independent of cell creation order), so engines that
+    # create cells in different orders report identical totals.
+
     def total(self, metric: str) -> float:
-        """Sum over all call paths and ranks."""
-        return sum(
-            value
-            for by_rank in self.data.get(metric, {}).values()
-            for value in by_rank.values()
-        )
+        """Sum over all call paths and ranks (cached per snapshot)."""
+        data = self.data
+        total = self._totals.get(metric)
+        if total is None:
+            total = self._totals[metric] = fsum(
+                chain.from_iterable(
+                    by_rank.values() for by_rank in data.get(metric, {}).values()
+                )
+            )
+        return total
 
     def by_callpath(self, metric: str) -> Dict[int, float]:
         return {
-            cpid: sum(by_rank.values())
+            cpid: fsum(by_rank.values())
             for cpid, by_rank in self.data.get(metric, {}).items()
         }
 
     def by_rank(self, metric: str) -> Dict[int, float]:
-        out: Dict[int, float] = {}
+        """Per-rank marginal, in ascending rank order."""
+        values: Dict[int, List[float]] = {}
         for by_rank in self.data.get(metric, {}).values():
             for rank, value in by_rank.items():
-                out[rank] = out.get(rank, 0.0) + value
-        return out
+                values.setdefault(rank, []).append(value)
+        return {rank: fsum(values[rank]) for rank in sorted(values)}
 
     def at(self, metric: str, cpid: int) -> Dict[int, float]:
         """Per-rank distribution of one (metric, call path) cell row."""

@@ -12,6 +12,11 @@ accumulators.  Memory is bounded by the *matching window* — in-flight
 sends/receives and open collectives — plus the raw trace blobs, never by
 the number of events.
 
+This engine runs only for ``AnalysisRequest(bounded=True)``: the O(window)
+memory contract needs the global time order.  Default serial analysis is
+the sharded kernel of :mod:`repro.analysis.parallel` run as one
+in-process shard, which decodes each rank once and needs no pump.
+
 Bit-identity with the buffered analyzer (strict and degraded, every
 ``jobs`` value) rests on four mechanisms:
 
@@ -56,6 +61,7 @@ from repro.analysis.matching import (
     MatchedPair,
     MatchStats,
 )
+from repro.analysis.parallel import DEADLINE_POLL_EVENTS
 from repro.analysis.patterns import (
     COLLECTIVE,
     COMMUNICATION,
@@ -94,12 +100,6 @@ from repro.trace.encoding import iter_events
 
 #: A point-to-point channel: (sender rank, receiver rank, tag, communicator).
 ChannelKey = Tuple[int, int, int, int]
-
-#: Events pumped between deadline polls.  One ``time.monotonic`` call per
-#: this many events keeps the cooperative check under ~1% of pump cost
-#: while still bounding the reaction latency to a few dozen microseconds
-#: of work on toy traces.
-DEADLINE_POLL_EVENTS = 64
 
 
 class _ReceiverReleases:
@@ -155,15 +155,14 @@ class _CollectiveGroup:
 
 
 class StreamingReplayAnalyzer:
-    """Single-pass replay over per-metahost archive readers.
+    """Single-pass, bounded-memory replay over per-metahost archive readers.
 
-    Constructor contract mirrors :class:`~repro.analysis.replay.ReplayAnalyzer`
-    (readers keyed by machine, optional scheme, degraded flag) plus:
+    Completed op instances are consumed by the pipeline and dropped instead
+    of being appended to ``timelines[rank].mpi_ops``/``omp_regions``;
+    aggregates are unaffected.  Constructor contract mirrors
+    :class:`~repro.analysis.replay.ReplayAnalyzer` (readers keyed by
+    machine, optional scheme, degraded flag) plus:
 
-    ``retain=False``
-        bounded-memory mode — completed op instances are consumed by the
-        pipeline and dropped instead of being appended to
-        ``timelines[rank].mpi_ops``.  Aggregates are unaffected.
     ``timeline``
         a :class:`~repro.analysis.severity_timeline.SeverityTimeline` to
         accumulate time-resolved severity into (None: skip).
@@ -181,7 +180,6 @@ class StreamingReplayAnalyzer:
         readers: Dict[int, ArchiveReader],
         scheme: Optional[SyncScheme] = None,
         degraded: bool = False,
-        retain: bool = True,
         timeline: Optional[SeverityTimeline] = None,
         deadline: Optional[Deadline] = None,
     ) -> None:
@@ -192,7 +190,6 @@ class StreamingReplayAnalyzer:
         if scheme is None:
             scheme = HierarchicalInterpolation(strict=not degraded)
         self.scheme = scheme
-        self.retain = retain
         self.timeline = timeline
         self.deadline = deadline
 
@@ -394,7 +391,7 @@ class StreamingReplayAnalyzer:
                 converters[rank],
                 local,
                 regions,
-                retain=self.retain,
+                retain=False,
             )
             builder.on_op = state.make_op_sink(rank, locations[rank])
             builder.on_omp = state.make_omp_sink(rank)

@@ -122,14 +122,15 @@ def analyze(
     """Replay-analyze a traced run's archive.
 
     *request* (an :class:`AnalysisRequest`) describes the analysis:
-    ``jobs=None``/``1`` runs the serial single-pass streaming analyzer,
-    ``jobs>=2`` shards the replay across that many worker processes
+    ``jobs=None``/``1`` runs the sharded replay kernel as one in-process
+    shard, ``jobs>=2`` shards it across that many worker processes
     (``0`` = one per available core).  Every value of ``jobs`` produces a
     bit-identical :class:`AnalysisResult` — see
     :mod:`repro.analysis.parallel` for the merge model that guarantees it.
     ``request.timeline`` additionally accumulates a time-resolved
     :class:`SeverityTimeline` (``result.severity_timeline``), and
-    ``request.bounded`` caps serial memory at the matching window.
+    ``request.bounded`` switches serial analysis to the time-ordered
+    streaming analyzer, whose memory is capped at the matching window.
 
     ``request.timeout`` (per-shard deadline, seconds) and
     ``request.max_retries`` (re-dispatches after a worker crash or hang)

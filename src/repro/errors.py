@@ -202,7 +202,7 @@ class PoolShutdown(ReproError):
 class TimeBudgetExceeded(ReproError):
     """An end-to-end deadline expired (or was cancelled) before work finished.
 
-    Raised by deadline-aware layers — the streaming analyzer's pump, the
+    Raised by deadline-aware layers — the replay analyzers, the
     supervised pool's dispatch loop, the service executor — when the
     :class:`~repro.resilience.deadline.Deadline` attached to the request
     runs out or a client cancels it.  Whatever partial progress exists at

@@ -2,10 +2,11 @@
 
 A :class:`Deadline` is created once per request (from
 ``AnalysisRequest.deadline_s`` or by the service per job) and handed down
-through every layer that does open-ended work: the streaming replay pump
-polls it between chunks, the supervised pool derives per-shard budgets
-from :meth:`Deadline.remaining`, and the service keeps the handle so a
-``DELETE /jobs/<key>`` can :meth:`cancel` it from another thread.
+through every layer that does open-ended work: the in-process serial
+replay polls it every few dozen events, the supervised pool derives
+per-shard budgets from :meth:`Deadline.remaining`, and the service keeps
+the handle so a ``DELETE /jobs/<key>`` can :meth:`cancel` it from another
+thread.
 
 The clock is :func:`time.monotonic`.  Cancellation is a single attribute
 assignment, so the object is safe to share between the service threads
