@@ -37,6 +37,12 @@ import warnings
 from dataclasses import dataclass, field, replace as _replace
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
+from repro.analysis.admission import (
+    RankCompleteness,
+    TraceAdmission,
+    budget_cut,
+    budget_skipped,
+)
 from repro.analysis.callpath import ROOT_PATH, CallPathRegistry
 from repro.analysis.instances import (
     ProcessTimeline,
@@ -55,12 +61,7 @@ from repro.analysis.patterns.grid import (
     accumulate_collective,
     accumulate_p2p,
 )
-from repro.analysis.replay import (
-    AnalysisResult,
-    RankCompleteness,
-    ReplayAnalyzer,
-    ReplayTraffic,
-)
+from repro.analysis.replay import AnalysisResult, ReplayAnalyzer, ReplayTraffic
 from repro.analysis.severity import SeverityCube
 from repro.analysis.severity_timeline import (
     SeverityTimeline,
@@ -70,23 +71,11 @@ from repro.analysis.severity_timeline import (
 )
 from repro.clocks.condition import ClockConditionChecker, MessageStamp
 from repro.clocks.sync import HierarchicalInterpolation, LinearConverter, SyncScheme
-from repro.errors import (
-    AnalysisError,
-    ArchiveError,
-    PartialTraceWarning,
-    TimeBudgetExceeded,
-)
+from repro.errors import AnalysisError, PartialTraceWarning, TimeBudgetExceeded
 from repro.ids import NodeId, node_of
 from repro.resilience.deadline import Deadline
 from repro.resilience.pool import PoolConfig, SupervisedPool
-from repro.trace.archive import (
-    ArchiveReader,
-    Definitions,
-    TraceShard,
-    salvage_checked,
-    trace_filename,
-)
-from repro.trace.encoding import iter_events, salvage_events
+from repro.trace.archive import ArchiveReader, Definitions, TraceShard, collect_shard
 
 #: A point-to-point channel: (sender rank, receiver rank, tag, communicator).
 ChannelKey = Tuple[int, int, int, int]
@@ -204,66 +193,18 @@ class PartialAnalysis:
         self.warnings.append((PartialTraceWarning, message))
 
 
-def _load_rank_degraded(
-    task: ShardTask, rank: int, partial: PartialAnalysis
-) -> Optional[Tuple[int, list]]:
-    """Worker-side mirror of :meth:`ReplayAnalyzer._load_degraded`."""
-
-    def exclude(reason: str, fraction: float = 0.0, events: int = 0) -> None:
-        partial.completeness[rank] = RankCompleteness(
-            rank=rank,
-            complete=False,
-            completeness=fraction,
-            events=events,
-            analyzed=False,
-            error=reason,
-        )
-        partial.warn(f"rank {rank} excluded from replay: {reason}")
-
-    reason = task.traces.missing.get(rank)
-    if reason is not None:
-        exclude(reason)
-        return None
-    blob = task.traces.blobs[rank]
-    salvaged = salvage_checked(blob, task.traces.manifests.get(rank))
-    if salvaged.rank is not None and salvaged.rank != rank:
-        exclude(f"trace file claims rank {salvaged.rank}")
-        return None
-    if not salvaged.complete:
-        exclude(
-            salvaged.error,
-            fraction=salvaged.completeness,
-            events=len(salvaged.events),
-        )
-        return None
-    if not salvaged.balanced:
-        exclude(
-            f"trace decodes but leaves {salvaged.open_regions} region(s) "
-            "open (truncated at a record boundary?)",
-            fraction=salvaged.completeness,
-            events=len(salvaged.events),
-        )
-        return None
-    partial.completeness[rank] = RankCompleteness(
-        rank=rank,
-        complete=True,
-        completeness=1.0,
-        events=len(salvaged.events),
-        analyzed=True,
-    )
-    return len(blob), salvaged.events
-
-
 def analyze_shard(
     task: ShardTask, deadline: Optional[Deadline] = None
 ) -> PartialAnalysis:
     """The kernel: local decode, timelines, and shard-local matching.
 
     Runs in a worker process for ``jobs >= 2`` and in-process for serial
-    analysis.  Warnings are collected into ``partial.warnings`` — never
-    raised here, and without touching the process-global warning filters
-    (the in-process kernel runs on service executor threads) — and
-    :func:`merge_partials` re-emits them in order.
+    analysis.  Ranks are admitted by
+    :class:`~repro.analysis.admission.TraceAdmission`.  Warnings are
+    collected into ``partial.warnings`` — never raised here, and without
+    touching the process-global warning filters (the in-process kernel
+    runs on service executor threads) — and :func:`merge_partials`
+    re-emits them in order.
 
     *deadline* (in-process only) is polled every
     :data:`DEADLINE_POLL_EVENTS` replayed events.  On expiry the rank
@@ -274,61 +215,33 @@ def analyze_shard(
     """
     partial = PartialAnalysis(index=task.index, ranks=task.ranks)
     definitions = task.definitions
-    degraded = task.degraded
+    admission = TraceAdmission(
+        definitions, task.traces, task.converters, task.degraded, partial.warn
+    )
     callpaths = partial.callpaths
     timelines = partial.timelines
     countdown = DEADLINE_POLL_EVENTS
 
     for rank in task.ranks:
         if partial.interrupted is not None:
-            partial.completeness[rank] = RankCompleteness(
-                rank=rank,
-                complete=False,
-                completeness=0.0,
-                events=0,
-                analyzed=False,
-                error=(
-                    f"TimeBudgetExceeded: {partial.interrupted} before its "
-                    "trace was replayed"
-                ),
+            admission.completeness[rank] = budget_skipped(
+                rank, partial.interrupted, "trace was replayed"
             )
             continue
-        location = definitions.locations[rank]
-        if degraded:
-            loaded = _load_rank_degraded(task, rank, partial)
-            if loaded is None:
-                continue
-            partial.trace_bytes[rank], events = loaded
-        else:
-            blob = task.traces.blobs[rank]
-            file_rank, events = iter_events(blob)
-            if file_rank != rank:
-                raise ArchiveError(
-                    f"trace file {trace_filename(rank)} claims rank {file_rank}"
-                )
-            partial.trace_bytes[rank] = len(blob)
-        converter = task.converters.get(node_of(location))
-        if converter is None:
-            if not degraded:
-                raise AnalysisError(
-                    f"no clock converter for node {node_of(location)}"
-                )
-            partial.warn(
-                f"rank {rank}: no clock converter for {node_of(location)}, "
-                "using local time unconverted"
-            )
-            converter = LinearConverter.identity()
+        trace = admission.admit(rank)
+        if trace is None:
+            continue
         builder = TimelineBuilder(
-            rank, location, converter, callpaths, definitions.regions
+            rank, trace.location, trace.converter, callpaths, definitions.regions
         )
         feed = builder.feed
         try:
             if deadline is None:
-                for event in events:
+                for event in trace.events:
                     feed(event)
             else:
                 consumed = 0
-                for event in events:
+                for event in trace.events:
                     feed(event)
                     consumed += 1
                     countdown -= 1
@@ -339,34 +252,14 @@ def analyze_shard(
                             break
             timelines[rank] = builder.finish(force=partial.interrupted is not None)
         except AnalysisError as exc:
-            if not degraded:
-                raise
-            partial.trace_bytes.pop(rank, None)
-            prior = partial.completeness.get(rank)
-            partial.completeness[rank] = RankCompleteness(
-                rank=rank,
-                complete=False,
-                completeness=prior.completeness if prior else 0.0,
-                events=prior.events if prior else 0,
-                analyzed=False,
-                error=str(exc),
-            )
-            partial.warn(f"rank {rank} excluded from replay: {exc}")
+            admission.reject(rank, exc)
             continue
         if partial.interrupted is not None:
-            blob = task.traces.blobs[rank]
-            total = salvage_events(blob, count_only=True).event_count
-            partial.completeness[rank] = RankCompleteness(
-                rank=rank,
-                complete=False,
-                completeness=min(consumed / total, 1.0) if total else 0.0,
-                events=consumed,
-                analyzed=True,
-                error=(
-                    f"TimeBudgetExceeded: {partial.interrupted} after "
-                    f"{consumed} of {total} event(s)"
-                ),
+            admission.completeness[rank] = budget_cut(
+                rank, partial.interrupted, consumed, trace.blob
             )
+    partial.trace_bytes = admission.trace_bytes
+    partial.completeness = admission.completeness
     _match_local(task, partial)
     return partial
 
@@ -574,24 +467,14 @@ def merge_partials(
     # at finalize, so stamp lists compare equal across execution models.
     checker.stamps.sort()
 
-    master_machine = definitions.machine_of(0)
-    merged_copy_bytes = sum(
-        size
-        for rank, size in trace_bytes.items()
-        if definitions.machine_of(rank) != master_machine
-    )
-    traffic = ReplayTraffic(
-        replay_metadata_bytes=matcher.stats.metadata_bytes,
-        merged_copy_bytes=merged_copy_bytes,
-        trace_bytes_total=sum(trace_bytes.values()),
-    )
-
     return AnalysisResult(
         cube=cube,
         callpaths=callpaths,
         definitions=definitions,
         violations=checker,
-        traffic=traffic,
+        traffic=ReplayTraffic.of(
+            definitions, trace_bytes, matcher.stats.metadata_bytes
+        ),
         scheme_name=scheme_name,
         total_time=total_time_of(timelines),
         timelines=timelines,
@@ -658,35 +541,6 @@ class ParallelReplayAnalyzer:
 
     # -- task construction -----------------------------------------------------
 
-    def _precheck(
-        self,
-        definitions: Definitions,
-        converters: Dict[NodeId, Optional[LinearConverter]],
-    ) -> None:
-        """Strict-mode per-rank checks, in the serial analyzer's exact order.
-
-        Runs in the parent so a broken experiment fails with the very same
-        error — same rank, same message — as ``jobs=1``, before any worker
-        is spawned.
-        """
-        for rank in sorted(definitions.locations):
-            location = definitions.locations[rank]
-            reader = self.readers.get(location.machine)
-            if reader is None:
-                raise AnalysisError(
-                    f"no archive reader for machine {location.machine} "
-                    f"(rank {rank} lives there)"
-                )
-            if not reader.has_trace(rank):
-                raise AnalysisError(
-                    f"rank {rank}'s trace is not visible on its own metahost "
-                    f"({trace_filename(rank)} missing)"
-                )
-            if converters.get(node_of(location)) is None:
-                raise AnalysisError(
-                    f"no clock converter for node {node_of(location)}"
-                )
-
     def _shard_task(
         self,
         index: int,
@@ -694,33 +548,15 @@ class ParallelReplayAnalyzer:
         definitions: Definitions,
         converters: Dict[NodeId, Optional[LinearConverter]],
     ) -> ShardTask:
-        """Collect one shard's blobs through its ranks' own metahost readers."""
-        shard = TraceShard(ranks=ranks)
-        by_machine: Dict[int, List[int]] = {}
-        for rank in ranks:
-            by_machine.setdefault(definitions.machine_of(rank), []).append(rank)
-        for machine in sorted(by_machine):
-            machine_ranks = by_machine[machine]
-            reader = self.readers.get(machine)
-            if reader is None:
-                for rank in machine_ranks:
-                    shard.missing[rank] = "no archive reader for its metahost"
-                continue
-            snapshot = reader.shard_snapshot(machine_ranks)
-            shard.blobs.update(snapshot.blobs)
-            shard.missing.update(snapshot.missing)
-            shard.manifests.update(snapshot.manifests)
-        shard_converters = {
-            node: converters.get(node)
-            for node in sorted({node_of(definitions.locations[rank]) for rank in ranks})
-        }
+        """One shard's work unit: its traces and its nodes' converters."""
+        nodes = sorted({node_of(definitions.locations[rank]) for rank in ranks})
         return ShardTask(
             index=index,
             ranks=ranks,
             degraded=self.degraded,
             definitions=definitions,
-            converters=shard_converters,
-            traces=shard,
+            converters={node: converters.get(node) for node in nodes},
+            traces=collect_shard(self.readers, definitions, ranks),
         )
 
     # -- execution -------------------------------------------------------------
@@ -730,8 +566,6 @@ class ParallelReplayAnalyzer:
         definitions = first_reader.definitions()
         sync_data = first_reader.sync_data()
         synchronized = self.scheme.convert_all(sync_data)
-        if not self.degraded:
-            self._precheck(definitions, synchronized.converters)
 
         ranks = sorted(definitions.locations)
         machine_of = {rank: loc.machine for rank, loc in definitions.locations.items()}
@@ -800,16 +634,8 @@ class ParallelReplayAnalyzer:
             settled = {rank for partial in partials for rank in partial.ranks}
             for rank in ranks:
                 if rank not in settled:
-                    result.completeness[rank] = RankCompleteness(
-                        rank=rank,
-                        complete=False,
-                        completeness=0.0,
-                        events=0,
-                        analyzed=False,
-                        error=(
-                            f"TimeBudgetExceeded: {interrupted} before its "
-                            "shard finished"
-                        ),
+                    result.completeness[rank] = budget_skipped(
+                        rank, interrupted, "shard finished"
                     )
             result.interrupted = interrupted
         result.execution = execution

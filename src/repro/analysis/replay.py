@@ -15,10 +15,10 @@ Mirrors SCALASCA's metacomputing-enabled analysis (paper Section 4):
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.admission import RankCompleteness, TraceAdmission
 from repro.analysis.callpath import CallPathRegistry
 from repro.analysis.instances import ProcessTimeline, build_timeline, total_time_of
 from repro.analysis.matching import MessageMatcher
@@ -45,28 +45,11 @@ from repro.analysis.request import AnalysisRequest
 from repro.analysis.severity import SeverityCube
 from repro.analysis.severity_timeline import SeverityTimeline
 from repro.clocks.condition import ClockConditionChecker, MessageStamp
-from repro.clocks.sync import HierarchicalInterpolation, LinearConverter, SyncScheme
-from repro.errors import AnalysisError, PartialTraceWarning
+from repro.clocks.sync import HierarchicalInterpolation, SyncScheme
+from repro.errors import AnalysisError
 from repro.ids import node_of
 from repro.resilience.pool import ExecutionReport
-from repro.trace.archive import (
-    ArchiveReader,
-    Definitions,
-    salvage_checked,
-    trace_filename,
-)
-
-
-@dataclass(frozen=True)
-class RankCompleteness:
-    """Per-rank account of how much of a trace the analysis could use."""
-
-    rank: int
-    complete: bool
-    completeness: float  # fraction of the trace file's bytes that decoded
-    events: int  # events decoded (salvaged prefix included)
-    analyzed: bool  # included in matching/pattern search
-    error: str = ""  # why the trace is incomplete ("" when complete)
+from repro.trace.archive import ArchiveReader, Definitions, collect_shard
 
 
 @dataclass
@@ -83,6 +66,26 @@ class ReplayTraffic:
         if self.replay_metadata_bytes == 0:
             return float("inf") if self.merged_copy_bytes > 0 else 1.0
         return self.merged_copy_bytes / self.replay_metadata_bytes
+
+    @classmethod
+    def of(
+        cls, definitions: Definitions, trace_bytes: Dict[int, int], metadata_bytes: int
+    ) -> "ReplayTraffic":
+        """The traffic of one replay over the admitted ranks' *trace_bytes*.
+
+        A merged-trace analysis would copy every trace not already on the
+        master's metahost (the one rank 0 runs on).
+        """
+        master_machine = definitions.machine_of(0)
+        return cls(
+            replay_metadata_bytes=metadata_bytes,
+            merged_copy_bytes=sum(
+                size
+                for rank, size in trace_bytes.items()
+                if definitions.machine_of(rank) != master_machine
+            ),
+            trace_bytes_total=sum(trace_bytes.values()),
+        )
 
 
 @dataclass
@@ -299,69 +302,6 @@ class ReplayAnalyzer:
             scheme = HierarchicalInterpolation(strict=not degraded)
         self.scheme = scheme
 
-    def _load_degraded(
-        self,
-        rank: int,
-        reader: Optional[ArchiveReader],
-        completeness: Dict[int, RankCompleteness],
-    ) -> Optional[Tuple[int, list]]:
-        """Salvage one rank's trace; record and warn instead of raising.
-
-        Returns ``(byte count, events)`` for a fully decoded trace, None
-        for a rank that must be excluded from the analysis.
-        """
-
-        def exclude(reason: str, fraction: float = 0.0, events: int = 0) -> None:
-            completeness[rank] = RankCompleteness(
-                rank=rank,
-                complete=False,
-                completeness=fraction,
-                events=events,
-                analyzed=False,
-                error=reason,
-            )
-            warnings.warn(
-                f"rank {rank} excluded from replay: {reason}", PartialTraceWarning,
-                stacklevel=4,
-            )
-
-        if reader is None:
-            exclude("no archive reader for its metahost")
-            return None
-        if not reader.has_trace(rank):
-            exclude(f"{trace_filename(rank)} missing from its metahost's archive")
-            return None
-        blob = reader.read_trace_blob(rank)
-        salvaged = salvage_checked(blob, reader.manifest_entry(rank))
-        if salvaged.rank is not None and salvaged.rank != rank:
-            exclude(f"trace file claims rank {salvaged.rank}")
-            return None
-        if not salvaged.complete:
-            exclude(
-                salvaged.error,
-                fraction=salvaged.completeness,
-                events=len(salvaged.events),
-            )
-            return None
-        if not salvaged.balanced:
-            # A cut landing exactly on a record boundary decodes cleanly;
-            # the only evidence of damage is regions left open at the end.
-            exclude(
-                f"trace decodes but leaves {salvaged.open_regions} region(s) "
-                "open (truncated at a record boundary?)",
-                fraction=salvaged.completeness,
-                events=len(salvaged.events),
-            )
-            return None
-        completeness[rank] = RankCompleteness(
-            rank=rank,
-            complete=True,
-            completeness=1.0,
-            events=len(salvaged.events),
-            analyzed=True,
-        )
-        return len(blob), salvaged.events
-
     def analyze(self) -> AnalysisResult:
         first_reader = next(iter(self.readers.values()))
         definitions = first_reader.definitions()
@@ -369,69 +309,26 @@ class ReplayAnalyzer:
         synchronized = self.scheme.convert_all(sync_data)
         degraded = self.degraded
 
+        ranks = sorted(definitions.locations)
+        admission = TraceAdmission(
+            definitions,
+            collect_shard(self.readers, definitions, ranks),
+            synchronized.converters,
+            degraded,
+        )
         callpaths = CallPathRegistry()
         timelines: Dict[int, ProcessTimeline] = {}
-        trace_bytes: Dict[int, int] = {}
-        completeness: Dict[int, RankCompleteness] = {}
-        for rank in sorted(definitions.locations):
-            location = definitions.locations[rank]
-            reader = self.readers.get(location.machine)
-            if degraded:
-                loaded = self._load_degraded(rank, reader, completeness)
-                if loaded is None:
-                    continue
-                trace_bytes[rank], events = loaded
-            else:
-                if reader is None:
-                    raise AnalysisError(
-                        f"no archive reader for machine {location.machine} "
-                        f"(rank {rank} lives there)"
-                    )
-                if not reader.has_trace(rank):
-                    raise AnalysisError(
-                        f"rank {rank}'s trace is not visible on its own metahost "
-                        f"({trace_filename(rank)} missing)"
-                    )
-                # Stream the trace: one file read, no materialized event list.
-                trace_bytes[rank], events = reader.stream_trace(rank)
-            converter = synchronized.converters.get(node_of(location))
-            if converter is None:
-                if not degraded:
-                    raise AnalysisError(
-                        f"no clock converter for node {node_of(location)}"
-                    )
-                warnings.warn(
-                    f"rank {rank}: no clock converter for {node_of(location)}, "
-                    "using local time unconverted",
-                    PartialTraceWarning,
-                    stacklevel=2,
-                )
-                converter = LinearConverter.identity()
+        for rank in ranks:
+            trace = admission.admit(rank)
+            if trace is None:
+                continue
             try:
                 timelines[rank] = build_timeline(
-                    rank, location, events, converter, callpaths, definitions.regions
+                    rank, trace.location, trace.events, trace.converter,
+                    callpaths, definitions.regions,
                 )
             except AnalysisError as exc:
-                if not degraded:
-                    raise
-                # Backstop for damage that decodes as valid records (e.g.
-                # corruption stamping bytes that happen to parse) but is
-                # structurally inconsistent.
-                trace_bytes.pop(rank, None)
-                prior = completeness.get(rank)
-                completeness[rank] = RankCompleteness(
-                    rank=rank,
-                    complete=False,
-                    completeness=prior.completeness if prior else 0.0,
-                    events=prior.events if prior else 0,
-                    analyzed=False,
-                    error=str(exc),
-                )
-                warnings.warn(
-                    f"rank {rank} excluded from replay: {exc}",
-                    PartialTraceWarning,
-                    stacklevel=2,
-                )
+                admission.reject(rank, exc)
 
         if not timelines:
             raise AnalysisError("no rank produced a usable trace")
@@ -480,30 +377,20 @@ class ReplayAnalyzer:
         # at finalize, so stamp lists compare equal across execution models.
         checker.stamps.sort()
 
-        master_machine = definitions.machine_of(0)
-        merged_copy_bytes = sum(
-            size
-            for rank, size in trace_bytes.items()
-            if definitions.machine_of(rank) != master_machine
-        )
-        traffic = ReplayTraffic(
-            replay_metadata_bytes=matcher.stats.metadata_bytes,
-            merged_copy_bytes=merged_copy_bytes,
-            trace_bytes_total=sum(trace_bytes.values()),
-        )
-
         return AnalysisResult(
             cube=cube,
             callpaths=callpaths,
             definitions=definitions,
             violations=checker,
-            traffic=traffic,
+            traffic=ReplayTraffic.of(
+                definitions, admission.trace_bytes, matcher.stats.metadata_bytes
+            ),
             scheme_name=self.scheme.name,
             total_time=total_time_of(timelines),
             timelines=timelines,
             grid_pairs=grid_pairs,
             degraded=degraded,
-            completeness=completeness,
+            completeness=admission.completeness,
         )
 
     @staticmethod
@@ -537,42 +424,6 @@ class ReplayAnalyzer:
                 cube_add(IDLE_THREADS, omp.cpid, rank, omp.idle_thread_seconds)
 
 
-#: Sentinel distinguishing "legacy keyword not passed" from any real value.
-_UNSET = object()
-
-#: The keyword sprawl the request object replaced (shimmed one release).
-_LEGACY_ANALYZE_KWARGS = ("degraded", "jobs", "max_retries", "timeout")
-
-
-def resolve_request(
-    request: Optional[AnalysisRequest],
-    legacy: Dict[str, object],
-    caller: str,
-) -> AnalysisRequest:
-    """Fold a deprecated keyword call into an :class:`AnalysisRequest`.
-
-    Shared by every shimmed entry point (``analyze_run``, ``api.analyze``,
-    ``api.run_experiment``): *legacy* holds only the keywords the caller
-    actually passed.  Mixing ``request=`` with legacy keywords is an error;
-    legacy keywords alone warn and build the equivalent request.
-    """
-    if legacy:
-        if request is not None:
-            raise AnalysisError(
-                f"{caller}: pass either request= or the deprecated keyword "
-                "arguments, not both: " + ", ".join(sorted(legacy))
-            )
-        warnings.warn(
-            f"{caller}: keyword arguments "
-            + ", ".join(f"{name}=" for name in sorted(legacy))
-            + " are deprecated; pass request=AnalysisRequest(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return AnalysisRequest(**legacy)
-    return request if request is not None else AnalysisRequest()
-
-
 def analyze_run(
     run_result,
     scheme: Optional[SyncScheme] = None,
@@ -580,10 +431,6 @@ def analyze_run(
     *,
     pool=None,
     deadline=None,
-    degraded=_UNSET,
-    jobs=_UNSET,
-    timeout=_UNSET,
-    max_retries=_UNSET,
 ) -> AnalysisResult:
     """Analyze a :class:`~repro.sim.runtime.RunResult` end to end.
 
@@ -608,26 +455,14 @@ def analyze_run(
     :class:`~repro.resilience.deadline.Deadline` (the service does this so
     a client cancel reaches the running analysis); when None and the
     request carries ``deadline_s``, a fresh deadline starts here.
-
-    The loose ``degraded=``/``jobs=``/``timeout=``/``max_retries=``
-    keywords are deprecated: they warn and are folded into a request.
     """
     # Imported lazily: both modules import this one.
     from repro.analysis.parallel import ParallelReplayAnalyzer, resolve_jobs
     from repro.analysis.streaming import StreamingReplayAnalyzer
     from repro.resilience.deadline import Deadline
 
-    legacy = {
-        name: value
-        for name, value in (
-            ("degraded", degraded),
-            ("jobs", jobs),
-            ("timeout", timeout),
-            ("max_retries", max_retries),
-        )
-        if value is not _UNSET
-    }
-    request = resolve_request(request, legacy, "analyze_run")
+    if request is None:
+        request = AnalysisRequest()
     if deadline is None and request.deadline_s is not None:
         deadline = Deadline(request.deadline_s)
 

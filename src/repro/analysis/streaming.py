@@ -42,10 +42,10 @@ comparable across paths.
 from __future__ import annotations
 
 import heapq
-import warnings
 from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
+from repro.analysis.admission import AdmittedTrace, TraceAdmission, budget_cut
 from repro.analysis.callpath import ROOT_PATH, CallPathRegistry
 from repro.analysis.instances import (
     MPIOpInstance,
@@ -79,11 +79,7 @@ from repro.analysis.patterns.grid import (
     accumulate_collective,
     accumulate_p2p,
 )
-from repro.analysis.replay import (
-    AnalysisResult,
-    RankCompleteness,
-    ReplayTraffic,
-)
+from repro.analysis.replay import AnalysisResult, ReplayTraffic
 from repro.analysis.severity import SeverityCube
 from repro.analysis.severity_timeline import (
     SeverityTimeline,
@@ -92,10 +88,10 @@ from repro.analysis.severity_timeline import (
 )
 from repro.clocks.condition import ClockConditionChecker, MessageStamp
 from repro.clocks.sync import HierarchicalInterpolation, LinearConverter, SyncScheme
-from repro.errors import AnalysisError, ArchiveError, PartialTraceWarning
+from repro.errors import AnalysisError
 from repro.ids import node_of
 from repro.resilience.deadline import Deadline
-from repro.trace.archive import ArchiveReader, salvage_checked, trace_filename
+from repro.trace.archive import ArchiveReader, collect_shard
 from repro.trace.encoding import iter_events
 
 #: A point-to-point channel: (sender rank, receiver rank, tag, communicator).
@@ -193,76 +189,8 @@ class StreamingReplayAnalyzer:
         self.timeline = timeline
         self.deadline = deadline
 
-    # -- prepass ---------------------------------------------------------------
-
-    def _scan_degraded(
-        self,
-        rank: int,
-        reader: Optional[ArchiveReader],
-        completeness: Dict[int, RankCompleteness],
-    ) -> Optional[bytes]:
-        """Decide one rank's fate without materializing its events.
-
-        Mirrors :meth:`ReplayAnalyzer._load_degraded` check for check and
-        message for message, but scans (``count_only``) instead of
-        decoding, so a damaged multi-gigabyte prefix costs O(1) memory.
-        Returns the raw blob for an analyzable rank, None for an excluded
-        one.
-        """
-
-        def exclude(reason: str, fraction: float = 0.0, events: int = 0) -> None:
-            completeness[rank] = RankCompleteness(
-                rank=rank,
-                complete=False,
-                completeness=fraction,
-                events=events,
-                analyzed=False,
-                error=reason,
-            )
-            warnings.warn(
-                f"rank {rank} excluded from replay: {reason}", PartialTraceWarning,
-                stacklevel=4,
-            )
-
-        if reader is None:
-            exclude("no archive reader for its metahost")
-            return None
-        if not reader.has_trace(rank):
-            exclude(f"{trace_filename(rank)} missing from its metahost's archive")
-            return None
-        blob = reader.read_trace_blob(rank)
-        scanned = salvage_checked(blob, reader.manifest_entry(rank), count_only=True)
-        if scanned.rank is not None and scanned.rank != rank:
-            exclude(f"trace file claims rank {scanned.rank}")
-            return None
-        if not scanned.complete:
-            exclude(
-                scanned.error,
-                fraction=scanned.completeness,
-                events=scanned.event_count,
-            )
-            return None
-        if not scanned.balanced:
-            exclude(
-                f"trace decodes but leaves {scanned.open_regions} region(s) "
-                "open (truncated at a record boundary?)",
-                fraction=scanned.completeness,
-                events=scanned.event_count,
-            )
-            return None
-        completeness[rank] = RankCompleteness(
-            rank=rank,
-            complete=True,
-            completeness=1.0,
-            events=scanned.event_count,
-            analyzed=True,
-        )
-        return blob
-
     @staticmethod
-    def _validate_structure(
-        rank: int, blob: bytes, converter: LinearConverter, regions
-    ) -> Optional[str]:
+    def _validate_structure(rank: int, trace: AdmittedTrace, regions) -> None:
         """Degraded dry run: does the trace build without structural errors?
 
         The pump feeds the shared matcher incrementally, so a mid-stream
@@ -272,19 +200,15 @@ class StreamingReplayAnalyzer:
         the rank once up front keeps the pump infallible in degraded mode;
         the events are discarded as they stream by.
         """
-        location = None  # unused by the builder's structural checks
         builder = TimelineBuilder(
-            rank, location, converter, CallPathRegistry(), regions, retain=False
+            rank, trace.location, trace.converter, CallPathRegistry(), regions,
+            retain=False,
         )
-        try:
-            _, events = iter_events(blob)
-            feed = builder.feed
-            for event in events:
-                feed(event)
-            builder.finish()
-        except AnalysisError as exc:
-            return str(exc)
-        return None
+        _, events = iter_events(trace.blob)
+        feed = builder.feed
+        for event in events:
+            feed(event)
+        builder.finish()
 
     # -- the pass --------------------------------------------------------------
 
@@ -296,74 +220,31 @@ class StreamingReplayAnalyzer:
         degraded = self.degraded
         regions = definitions.regions
 
-        # Prepass: per rank ascending, reproduce the buffered analyzer's
-        # admission decisions (same checks, same messages, same warning
-        # order) and collect each admitted rank's blob and converter.
-        completeness: Dict[int, RankCompleteness] = {}
-        trace_bytes: Dict[int, int] = {}
+        # Prepass: admit every rank (scanning, not decoding) and collect
+        # each admitted rank's blob and converter.
+        ranks = sorted(definitions.locations)
+        admission = TraceAdmission(
+            definitions,
+            collect_shard(self.readers, definitions, ranks),
+            synchronized.converters,
+            degraded,
+        )
         blobs: Dict[int, bytes] = {}
         converters: Dict[int, LinearConverter] = {}
         locations: Dict[int, object] = {}
-        for rank in sorted(definitions.locations):
-            location = definitions.locations[rank]
-            reader = self.readers.get(location.machine)
+        for rank in ranks:
+            trace = admission.admit(rank, scan_only=True)
+            if trace is None:
+                continue
             if degraded:
-                blob = self._scan_degraded(rank, reader, completeness)
-                if blob is None:
+                try:
+                    self._validate_structure(rank, trace, regions)
+                except AnalysisError as exc:
+                    admission.reject(rank, exc)
                     continue
-            else:
-                if reader is None:
-                    raise AnalysisError(
-                        f"no archive reader for machine {location.machine} "
-                        f"(rank {rank} lives there)"
-                    )
-                if not reader.has_trace(rank):
-                    raise AnalysisError(
-                        f"rank {rank}'s trace is not visible on its own metahost "
-                        f"({trace_filename(rank)} missing)"
-                    )
-                blob = reader.read_trace_blob(rank)
-                scanned_rank, _ = iter_events(blob)
-                if scanned_rank != rank:
-                    raise ArchiveError(
-                        f"trace file {trace_filename(rank)} claims rank "
-                        f"{scanned_rank}"
-                    )
-            converter = synchronized.converters.get(node_of(location))
-            if converter is None:
-                if not degraded:
-                    raise AnalysisError(
-                        f"no clock converter for node {node_of(location)}"
-                    )
-                warnings.warn(
-                    f"rank {rank}: no clock converter for {node_of(location)}, "
-                    "using local time unconverted",
-                    PartialTraceWarning,
-                    stacklevel=2,
-                )
-                converter = LinearConverter.identity()
-            if degraded:
-                error = self._validate_structure(rank, blob, converter, regions)
-                if error is not None:
-                    prior = completeness.get(rank)
-                    completeness[rank] = RankCompleteness(
-                        rank=rank,
-                        complete=False,
-                        completeness=prior.completeness if prior else 0.0,
-                        events=prior.events if prior else 0,
-                        analyzed=False,
-                        error=error,
-                    )
-                    warnings.warn(
-                        f"rank {rank} excluded from replay: {error}",
-                        PartialTraceWarning,
-                        stacklevel=2,
-                    )
-                    continue
-            blobs[rank] = blob
-            trace_bytes[rank] = len(blob)
-            converters[rank] = converter
-            locations[rank] = location
+            blobs[rank] = trace.blob
+            converters[rank] = trace.converter
+            locations[rank] = trace.location
 
         if not blobs:
             raise AnalysisError("no rank produced a usable trace")
@@ -434,10 +315,12 @@ class StreamingReplayAnalyzer:
 
         state.finish_stream(interrupted=interrupted is not None)
 
+        completeness = admission.completeness
         if interrupted is not None:
-            completeness = self._interrupted_completeness(
-                interrupted, analyzed, pumped, blobs, completeness
-            )
+            for rank in analyzed:
+                completeness[rank] = budget_cut(
+                    rank, interrupted, pumped[rank], blobs[rank]
+                )
 
         # Finalize timelines and renumber call paths rank-major — the
         # buffered analyzer's first-encounter order, exactly.
@@ -467,24 +350,14 @@ class StreamingReplayAnalyzer:
         # lists compare equal across the buffered/streaming/merged paths.
         state.checker.stamps.sort()
 
-        master_machine = definitions.machine_of(0)
-        merged_copy_bytes = sum(
-            size
-            for rank, size in trace_bytes.items()
-            if definitions.machine_of(rank) != master_machine
-        )
-        traffic = ReplayTraffic(
-            replay_metadata_bytes=state.stats.metadata_bytes,
-            merged_copy_bytes=merged_copy_bytes,
-            trace_bytes_total=sum(trace_bytes.values()),
-        )
-
         return AnalysisResult(
             cube=cube,
             callpaths=callpaths,
             definitions=definitions,
             violations=state.checker,
-            traffic=traffic,
+            traffic=ReplayTraffic.of(
+                definitions, admission.trace_bytes, state.stats.metadata_bytes
+            ),
             scheme_name=self.scheme.name,
             total_time=total_time_of(timelines),
             timelines=timelines,
@@ -496,46 +369,6 @@ class StreamingReplayAnalyzer:
             severity_timeline=self.timeline,
             interrupted=interrupted,
         )
-
-    @staticmethod
-    def _interrupted_completeness(
-        reason: str,
-        analyzed: List[int],
-        pumped: Dict[int, int],
-        blobs: Dict[int, bytes],
-        completeness: Dict[int, RankCompleteness],
-    ) -> Dict[int, RankCompleteness]:
-        """Honest per-rank accounting for a deadline-cut pump.
-
-        Every analyzed rank reports the events it actually consumed and
-        the fraction of its trace that represents; the error string names
-        the budget so the partial result can never be mistaken for a
-        complete one.
-        """
-        out = dict(completeness)
-        for rank in analyzed:
-            consumed = pumped.get(rank, 0)
-            prior = completeness.get(rank)
-            total = prior.events if prior is not None and prior.events else None
-            if total is None:
-                try:
-                    _, events = iter_events(blobs[rank])
-                    total = sum(1 for _ in events)
-                except Exception:  # noqa: BLE001 - count is best-effort
-                    total = None
-            fraction = consumed / total if total else 0.0
-            out[rank] = RankCompleteness(
-                rank=rank,
-                complete=False,
-                completeness=min(fraction, 1.0),
-                events=consumed,
-                analyzed=True,
-                error=(
-                    f"TimeBudgetExceeded: {reason} after {consumed} of "
-                    f"{total if total is not None else 'unknown'} event(s)"
-                ),
-            )
-        return out
 
 
 class _StreamState:

@@ -39,7 +39,13 @@ from repro.sim.mpi import World, WorldStats
 from repro.sim.process import AppGenerator
 from repro.sim.transfer import SimParams
 from repro.topology.metacomputer import Metacomputer, Placement
-from repro.trace.archive import ArchiveReader, ArchiveWriter, Definitions, TraceShard
+from repro.trace.archive import (
+    ArchiveReader,
+    ArchiveWriter,
+    Definitions,
+    TraceShard,
+    collect_shard,
+)
 
 DEFAULT_ARCHIVE_PATH = "/work/epik_experiment"
 
@@ -71,21 +77,9 @@ class RunResult:
     def trace_shard(self, ranks: Sequence[int]) -> TraceShard:
         """Picklable trace snapshot for *ranks*, each read through the
         namespace of its own metahost (the parallel analyzer's work unit)."""
-        ranks = tuple(sorted(ranks))
-        shard = TraceShard(ranks=ranks)
-        by_machine: Dict[int, List[int]] = {}
-        for rank in ranks:
-            machine = self.definitions.machine_of(rank)
-            by_machine.setdefault(machine, []).append(rank)
-        for machine in sorted(by_machine):
-            if machine not in self.namespaces:
-                for rank in by_machine[machine]:
-                    shard.missing[rank] = "no archive reader for its metahost"
-                continue
-            snapshot = self.reader(machine).shard_snapshot(by_machine[machine])
-            shard.blobs.update(snapshot.blobs)
-            shard.missing.update(snapshot.missing)
-        return shard
+        machines = {self.definitions.machine_of(rank) for rank in ranks}
+        readers = {m: self.reader(m) for m in sorted(machines) if m in self.namespaces}
+        return collect_shard(readers, self.definitions, ranks)
 
     @property
     def machines_used(self) -> List[int]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.clocks.serialize import sync_data_from_dict, sync_data_to_dict
 from repro.clocks.sync import SyncData
@@ -44,6 +44,10 @@ from repro.trace.encoding import (
 )
 from repro.trace.events import Event
 from repro.trace.regions import RegionRegistry
+
+#: Why a rank is missing from a :class:`TraceShard` when its metahost has
+#: no archive reader at all.
+NO_READER = "no archive reader for its metahost"
 
 DEFINITIONS_FILE = "definitions.json"
 SYNC_FILE = "sync.json"
@@ -377,8 +381,7 @@ class TraceShard:
     bytes keyed by rank, detached from any mount namespace, so it crosses a
     ``multiprocessing`` boundary under both fork and spawn without dragging
     the simulated file system along.  Ranks whose trace is absent are
-    recorded in ``missing`` with the same reason string the serial
-    degraded-mode analyzer uses.
+    recorded in ``missing`` with the reason degraded-mode replay reports.
     """
 
     ranks: Tuple[int, ...]
@@ -612,3 +615,29 @@ class ArchiveReader:
                 if middle.isdigit():
                     ranks.append(int(middle))
         return sorted(ranks)
+
+
+def collect_shard(
+    readers: Mapping[int, ArchiveReader], definitions: Definitions, ranks: Iterable[int]
+) -> TraceShard:
+    """The traces of *ranks*, each read through its own metahost's reader.
+
+    *readers* maps machine → reader; a rank whose machine has none is
+    recorded as missing (:data:`NO_READER`), as is a rank whose trace file
+    its metahost's archive lacks.  This is the one place every replay
+    engine gets its trace bytes from.
+    """
+    shard = TraceShard(ranks=tuple(sorted(ranks)))
+    by_machine: Dict[int, List[int]] = {}
+    for rank in shard.ranks:
+        by_machine.setdefault(definitions.machine_of(rank), []).append(rank)
+    for machine, machine_ranks in sorted(by_machine.items()):
+        reader = readers.get(machine)
+        if reader is None:
+            shard.missing.update(dict.fromkeys(machine_ranks, NO_READER))
+            continue
+        snapshot = reader.shard_snapshot(machine_ranks)
+        shard.blobs.update(snapshot.blobs)
+        shard.missing.update(snapshot.missing)
+        shard.manifests.update(snapshot.manifests)
+    return shard

@@ -1,4 +1,4 @@
-"""The stable ``repro.api`` facade: surface snapshot, verbs, deprecations."""
+"""The stable ``repro.api`` facade: surface snapshot, verbs, removed forms."""
 
 from __future__ import annotations
 
@@ -103,14 +103,15 @@ class TestVerbs:
 
 
 class TestDeprecations:
-    def test_positional_experiment_number_warns(self):
+    """1.1.0 removed the positional experiment number: ``figure`` is a
+    required keyword, so a stale ``run_metatrace_experiment(1)`` fails
+    loudly instead of binding ``seed=1``."""
+
+    def test_positional_experiment_number_raises_type_error(self):
         from repro.experiments.figures import run_metatrace_experiment
 
-        with pytest.warns(DeprecationWarning, match="figure= keyword"):
-            with pytest.raises(ExperimentError):
-                # Invalid experiment number: warns on the calling style
-                # first, then rejects the value — no simulation runs.
-                run_metatrace_experiment(99)
+        with pytest.raises(TypeError):
+            run_metatrace_experiment(1)
 
     def test_figure_keyword_does_not_warn(self):
         from repro.experiments.figures import run_metatrace_experiment
@@ -123,13 +124,13 @@ class TestDeprecations:
     def test_both_forms_rejected(self):
         from repro.experiments.figures import run_metatrace_experiment
 
-        with pytest.raises(ExperimentError, match="not both"):
+        with pytest.raises(TypeError):
             run_metatrace_experiment(1, figure=1)
 
     def test_neither_form_rejected(self):
         from repro.experiments.figures import run_metatrace_experiment
 
-        with pytest.raises(ExperimentError, match="figure=1 or figure=2"):
+        with pytest.raises(TypeError, match="figure"):
             run_metatrace_experiment()
 
 

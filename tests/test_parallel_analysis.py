@@ -181,7 +181,10 @@ class TestShardAddressableReads:
         assert shard.ranks == (1, 5, 6)
         assert sorted(shard.blobs) == [1, 5, 6]
         assert shard.missing == {}
-        # Blobs are the on-archive bytes, byte for byte.
+        # Blobs are the on-archive bytes, byte for byte, and every rank
+        # carries its manifest entry for checksum-aware salvage.
+        assert sorted(shard.manifests) == [1, 5, 6]
         for rank in shard.ranks:
-            machine = run.definitions.machine_of(rank)
-            assert shard.blobs[rank] == run.reader(machine).read_trace_blob(rank)
+            reader = run.reader(run.definitions.machine_of(rank))
+            assert shard.blobs[rank] == reader.read_trace_blob(rank)
+            assert shard.manifests[rank] == reader.manifest_entry(rank)

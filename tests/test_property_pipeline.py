@@ -6,12 +6,14 @@ checks global invariants: every message matches, severities are bounded,
 and the analysis is insensitive to archive layout.
 """
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.patterns import LATE_SENDER, P2P, TIME
 from repro.analysis.replay import analyze_run
 from repro.clocks.clock import ClockEnsemble
+from repro.errors import DeadlockError
 from repro.sim.runtime import MetaMPIRuntime
 from repro.topology.metacomputer import Placement
 from repro.topology.presets import uniform_metacomputer
@@ -24,8 +26,8 @@ SETTINGS = settings(
 
 NPROCS = 4
 
-# One round: a list of (sender, receiver, size) with senders/receivers
-# disjoint — lower rank sends, so every round is trivially deadlock-free.
+# One round: a list of (sender, receiver, size).  Sizes span the 64 KiB
+# eager limit, so blocking rendezvous sends are covered too.
 rounds = st.lists(
     st.lists(
         st.tuples(
@@ -40,25 +42,30 @@ rounds = st.lists(
 )
 
 
+#: Two blocking sends above the eager limit facing each other.
+HEAD_TO_HEAD = [[(0, 1, 65537), (1, 0, 65537)]]
+
+
 def _schedule_app(schedule):
-    """Each round: chosen senders send, receivers receive, then barrier."""
+    """Each round: the exchanges in one global order, then a barrier.
+
+    Every rank walks the round's exchanges in list order, sending where it
+    is the sender and receiving where it is the receiver.  The earliest
+    unfinished exchange always has both ends posted, so no schedule can
+    deadlock, whatever its message sizes.
+    """
 
     def app(ctx):
         with ctx.region("main"):
             for round_index, exchanges in enumerate(schedule):
-                clean = [
-                    (src, dst, size)
-                    for (src, dst, size) in exchanges
-                    if src != dst
-                ]
                 with ctx.region("round"):
-                    for order, (src, dst, size) in enumerate(clean):
+                    for order, (src, dst, size) in enumerate(exchanges):
                         tag = round_index * 100 + order
+                        if src == dst:
+                            continue
                         if ctx.rank == src:
                             yield ctx.comm.send(dst, size, tag=tag)
-                    for order, (src, dst, size) in enumerate(clean):
-                        tag = round_index * 100 + order
-                        if ctx.rank == dst:
+                        elif ctx.rank == dst:
                             yield ctx.comm.recv(src, tag=tag)
                 yield ctx.comm.barrier()
 
@@ -73,6 +80,7 @@ def _message_count(schedule):
 
 class TestRandomSchedules:
     @given(schedule=rounds, seed=st.integers(min_value=0, max_value=2**16))
+    @example(schedule=HEAD_TO_HEAD, seed=0)
     @SETTINGS
     def test_every_message_matched(self, schedule, seed):
         mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=1)
@@ -84,6 +92,7 @@ class TestRandomSchedules:
         assert result.violations.total == _message_count(schedule)
 
     @given(schedule=rounds, seed=st.integers(min_value=0, max_value=2**16))
+    @example(schedule=HEAD_TO_HEAD, seed=0)
     @SETTINGS
     def test_wait_states_bounded_by_op_time(self, schedule, seed):
         mc = uniform_metacomputer(metahost_count=2, node_count=2, cpus_per_node=1)
@@ -111,3 +120,17 @@ class TestRandomSchedules:
         # measurement-error scale, far below the one-way link latency.
         worst = min((s.slack_s for s in result.violations.stamps), default=0.0)
         assert worst >= -5e-6
+
+
+def test_head_to_head_rendezvous_deadlocks():
+    """Posting both blocking rendezvous sends before either receive
+    deadlocks; the global exchange order above is what avoids it."""
+
+    def app(ctx):
+        peer = 1 - ctx.rank
+        yield ctx.comm.send(peer, 65537, tag=0)
+        yield ctx.comm.recv(peer, tag=0)
+
+    mc = uniform_metacomputer(metahost_count=2, node_count=1, cpus_per_node=1)
+    with pytest.raises(DeadlockError):
+        MetaMPIRuntime(mc, Placement.block(mc, 2), seed=0).run(app)
